@@ -6,9 +6,9 @@
 //! once, then checked by both configurations under the same budget.
 //! Emits machine-readable JSON on stdout: per-design verdicts, query
 //! counts, mean decisions and propagations per query for both legs,
-//! the domain counters (in-domain decisions, parked variables,
-//! chronological backtracks), wall times, and the per-design
-//! decisions-per-query ratio (domains on / off) with its geomean —
+//! the domain counters (in-domain decisions, parked variables), wall
+//! times, and the per-design decisions-per-query ratio (domains on /
+//! off) with its geomean —
 //! the query-scoping leg of the perf trajectory next to `pdrperf`
 //! (architecture) and `parperf` (scaling).
 //!
@@ -93,7 +93,7 @@ fn main() {
              \"queries_on\":{},\"queries_off\":{},\
              \"decisions_per_query_on\":{:.2},\"decisions_per_query_off\":{:.2},\
              \"propagations_per_query_on\":{:.2},\"propagations_per_query_off\":{:.2},\
-             \"domain_decisions\":{},\"domain_skipped\":{},\"chrono_backtracks\":{},\
+             \"domain_decisions\":{},\"domain_skipped\":{},\
              \"on_s\":{:.4},\"off_s\":{:.4},\"decision_ratio\":{:.3}}}",
             b.name,
             verdict_label(&on.outcome),
@@ -107,7 +107,6 @@ fn main() {
             prop_off,
             on.stats.domain_decisions,
             on.stats.domain_skipped,
-            on.stats.chrono_backtracks,
             on_s,
             off_s,
             ratio,

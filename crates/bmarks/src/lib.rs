@@ -250,6 +250,23 @@ mod tests {
         }
     }
 
+    /// Truncated sources are what an editor hands the frontend mid-edit:
+    /// every prefix of every benchmark, cut at each char boundary, must
+    /// come back as `Ok` or a `VerilogError`, never as a panic.
+    #[test]
+    fn truncated_sources_never_panic_the_frontend() {
+        let mut panics = Vec::new();
+        for b in all() {
+            for end in (0..=b.source.len()).filter(|&i| b.source.is_char_boundary(i)) {
+                let prefix = &b.source[..end];
+                if std::panic::catch_unwind(|| vfront::compile(prefix, b.top)).is_err() {
+                    panics.push(format!("{} cut at byte {end}", b.name));
+                }
+            }
+        }
+        assert!(panics.is_empty(), "frontend panicked on: {panics:?}");
+    }
+
     fn random_inputs(ts: &TransitionSystem, rng: &mut StdRng) -> Vec<Value> {
         ts.inputs()
             .iter()

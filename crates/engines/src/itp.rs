@@ -15,7 +15,6 @@
 //! *initial* `R`, a real counterexample of length ≤ `k` exists.
 
 use crate::certify::{clause_on, LatchClause};
-use crate::parallel::{LemmaGate, LemmaReceiver};
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
 use aig::{Aig, AigLit, AigSystem, FrameEncoder, FrameVars, TransitionTemplate};
 use rtlir::TransitionSystem;
@@ -28,25 +27,12 @@ use std::time::Instant;
 pub struct Interpolation {
     /// Resource limits (`max_depth` bounds the unrolling length `k`).
     pub budget: Budget,
-    /// Broadcast lemmas from the portfolio's PDR seat, admitted through
-    /// a [`LemmaGate`] before strengthening the A- and B-side frames.
-    pub lemmas: Option<LemmaReceiver>,
 }
 
 impl Interpolation {
     /// Creates an interpolation engine with the given budget.
     pub fn new(budget: Budget) -> Interpolation {
-        Interpolation {
-            budget,
-            lemmas: None,
-        }
-    }
-
-    /// Subscribes the engine to a cross-seat lemma broadcast.
-    #[must_use]
-    pub fn with_lemmas(mut self, lemmas: LemmaReceiver) -> Interpolation {
-        self.lemmas = Some(lemmas);
-        self
+        Interpolation { budget }
     }
 }
 
@@ -188,28 +174,10 @@ impl Interpolation {
             }
         }
 
-        // Broadcast lemmas strengthen both sides of every query once
-        // they pass the admission gate; `accepted` mirrors the gate's
-        // list so each query can assert them like `inv`.
-        let mut gate = self.lemmas.as_ref().map(|_| LemmaGate::new(sys, tpl, inv));
-        let mut accepted: Vec<LatchClause> = Vec::new();
-
         let mut k: u32 = 1;
         loop {
             if let Some(u) = self.budget.interruption(started) {
                 return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
-            }
-            if let (Some(rx), Some(gate)) = (&self.lemmas, &mut gate) {
-                let pending = rx.drain();
-                if !pending.is_empty() {
-                    stats.sync_rounds += 1;
-                }
-                for clause in pending {
-                    if gate.admit(&clause, self.budget.sat_limits(started)) {
-                        accepted.push(clause);
-                        stats.lemmas_imported += 1;
-                    }
-                }
             }
             if k > self.budget.max_depth {
                 return CheckOutcome::finish(
@@ -231,7 +199,6 @@ impl Interpolation {
                     sys,
                     tpl,
                     inv,
-                    lem: &accepted,
                     r: r_acc,
                     k,
                     started,
@@ -262,26 +229,21 @@ impl Interpolation {
                         stats.absorb_solver(&solver.stats());
                         match fr {
                             SolveResult::Unsat => {
-                                // `r_acc ∧ Inv ∧ Lem` is the fixpoint:
-                                // init ⇒ r_acc by construction, init ⇒
-                                // Inv (certified) and init ⇒ Lem (gate
-                                // initiation); the post-image of the
-                                // conjunction is inside the latest
-                                // interpolant (the A side asserted Inv
-                                // and the then-admitted lemmas on
-                                // frame 0 — later admissions only
-                                // shrink the A states) which just
-                                // proved itp ⇒ r_acc — and inside
-                                // Inv ∧ Lem by their own consecution —
-                                // and the B-side of every query
-                                // carried Inv-constrained bad at frame
-                                // 1. So the conjunction is a genuine
-                                // 1-step inductive invariant, exported
-                                // as the Safe witness over the scratch
-                                // AIG (node ids align with `sys`).
-                                let lem_pred = invariant_predicate(sys, &accepted, &mut aig);
+                                // `r_acc ∧ Inv` is the fixpoint:
+                                // init ⇒ r_acc by construction and
+                                // init ⇒ Inv (certified); the
+                                // post-image of the conjunction is
+                                // inside the latest interpolant (the A
+                                // side asserted Inv on frame 0), which
+                                // just proved itp ⇒ r_acc, and inside
+                                // Inv by its own consecution; the
+                                // B-side of every query carried
+                                // Inv-constrained bad at frame 1. So
+                                // the conjunction is a genuine 1-step
+                                // inductive invariant, exported as the
+                                // Safe witness over the scratch AIG
+                                // (node ids align with `sys`).
                                 let root = aig.and(r_acc, inv_pred);
-                                let root = aig.and(root, lem_pred);
                                 let cert = crate::certify::Certificate::Formula(
                                     crate::certify::FormulaInvariant {
                                         aig: aig.clone(),
@@ -322,9 +284,6 @@ struct ItpQuery<'a> {
     sys: &'a AigSystem,
     tpl: &'a TransitionTemplate,
     inv: &'a [LatchClause],
-    /// Gate-admitted broadcast lemmas, asserted on every frame exactly
-    /// like `inv` (inductive relative to it by admission).
-    lem: &'a [LatchClause],
     /// Current reachability over-approximation `R`.
     r: AigLit,
     /// Unrolling bound.
@@ -348,7 +307,6 @@ impl Interpolation {
             sys,
             tpl,
             inv,
-            lem,
             r,
             k,
             started,
@@ -371,7 +329,7 @@ impl Interpolation {
         }
         let rl = enc_a.encode(aig, &mut solver, r, Part::A);
         solver.add_clause_in(&[rl], Part::A);
-        for clause in inv.iter().chain(lem) {
+        for clause in inv {
             solver.add_clause_in(&clause_on(clause, &a0.latch_cur), Part::A);
         }
         for (i, &nl) in a0.latch_next.iter().enumerate() {
@@ -385,7 +343,7 @@ impl Interpolation {
         let mut cur = f1.clone();
         for _ in 1..=k {
             let inst = tpl.instantiate_bound(&mut solver, Part::B, 0, &cur);
-            for clause in inv.iter().chain(lem) {
+            for clause in inv {
                 solver.add_clause_in(&clause_on(clause, &inst.latch_cur), Part::B);
             }
             cur = inst.latch_next.clone();

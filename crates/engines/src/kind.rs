@@ -8,7 +8,6 @@
 
 use crate::bmc::FrameChain;
 use crate::certify::LatchClause;
-use crate::parallel::{LemmaGate, LemmaReceiver};
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
 use aig::{AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
@@ -28,9 +27,6 @@ pub struct KInduction {
     pub budget: Budget,
     /// Add pairwise state-distinctness (simple path) constraints.
     pub simple_path: bool,
-    /// Broadcast lemmas from the portfolio's PDR seat, admitted through
-    /// a [`LemmaGate`] before strengthening the step premise.
-    pub lemmas: Option<LemmaReceiver>,
 }
 
 impl Default for KInduction {
@@ -38,7 +34,6 @@ impl Default for KInduction {
         KInduction {
             budget: Budget::default(),
             simple_path: true,
-            lemmas: None,
         }
     }
 }
@@ -50,13 +45,6 @@ impl KInduction {
             budget,
             ..KInduction::default()
         }
-    }
-
-    /// Subscribes the engine to a cross-seat lemma broadcast.
-    #[must_use]
-    pub fn with_lemmas(mut self, lemmas: LemmaReceiver) -> KInduction {
-        self.lemmas = Some(lemmas);
-        self
     }
 }
 
@@ -96,11 +84,6 @@ impl KInduction {
         // simple-path group its guard and difference variables.
         let mut step_dom = satb::Domain::new();
         let mut dom_frames = 0usize;
-        // Broadcast lemmas from the PDR seat strengthen the step
-        // premise, but only after passing the admission gate: a frame
-        // clause that is not genuinely inductive relative to what we
-        // already assert would be unsound on the free-state step chain.
-        let mut gate = self.lemmas.as_ref().map(|_| LemmaGate::new(sys, tpl, inv));
 
         for k in 0..=self.budget.max_depth {
             if let Some(u) = self.budget.interruption(started) {
@@ -108,20 +91,6 @@ impl KInduction {
                 return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
             }
             stats.depth = k;
-
-            if let (Some(rx), Some(gate)) = (&self.lemmas, &mut gate) {
-                let pending = rx.drain();
-                if !pending.is_empty() {
-                    stats.sync_rounds += 1;
-                }
-                for clause in pending {
-                    if gate.admit(&clause, self.budget.sat_limits(started)) {
-                        base.add_lemma(&clause);
-                        step.add_lemma(&clause);
-                        stats.lemmas_imported += 1;
-                    }
-                }
-            }
 
             // Base case: counterexample of length exactly k?
             let bad_base = base.any_bad(k as usize);
@@ -185,18 +154,12 @@ impl KInduction {
                     // The base chain verified depths 0..=k and the
                     // step premise just proved k-inductiveness: the
                     // witness is the (k, simple-path) claim itself,
-                    // plus the strengthening clauses the step premise
-                    // assumed — the static invariant and every admitted
-                    // broadcast lemma — re-checked from scratch by
-                    // `certify`.
-                    let mut invariant = inv.to_vec();
-                    if let Some(gate) = &gate {
-                        invariant.extend_from_slice(gate.accepted());
-                    }
+                    // plus the static invariant the step premise
+                    // assumed, re-checked from scratch by `certify`.
                     let cert = crate::certify::Certificate::KInductive {
                         k,
                         simple_path: self.simple_path,
-                        invariant,
+                        invariant: inv.to_vec(),
                     };
                     return CheckOutcome::finish(Verdict::Safe, stats, started)
                         .with_certificate(cert);
@@ -334,7 +297,6 @@ pub(crate) mod tests {
                 ..Budget::default()
             },
             simple_path: false,
-            ..KInduction::default()
         }
         .check(&ts);
         assert_eq!(out2.outcome, Verdict::Unknown(Unknown::BoundReached));

@@ -88,14 +88,12 @@
 //! [`satb::Solver::solve_with_domain`], which keeps VSIDS decisions
 //! inside the cone (see the [`satb::domain`] soundness contract). PDR
 //! scopes every relative-induction, lifting and bad-state query to the
-//! obligation cube's cones; the [`parallel`] lemma gate scopes its
-//! consecution checks to the candidate clause's cones; k-induction
-//! threads a chain-wide domain through its step solves (frame binding
-//! makes the closure span the whole chain, so the win there is
-//! structural uniformity, not pruning). The query solver pairs the
-//! domains with chronological backtracking
-//! ([`satb::Solver::set_chrono`]), both A/B-able per worker profile
-//! and measured end to end by the `qperf` bench binary.
+//! obligation cube's cones; k-induction threads a chain-wide domain
+//! through its step solves (frame binding makes the closure span the
+//! whole chain, so the win there is structural uniformity, not
+//! pruning). Domains can be switched off for an A/B
+//! ([`pdr::Pdr::domains`], and per parallel worker profile); the
+//! `qperf` bench binary measures them end to end.
 //!
 //! # Example
 //!
@@ -143,6 +141,6 @@ pub mod result;
 pub mod word;
 
 pub use certify::{Certificate, CertifyReport, ClausalInvariant, FormulaInvariant};
-pub use parallel::{LemmaBus, ParallelPdr, SharedFrames};
+pub use parallel::{ParallelPdr, SharedFrames};
 pub use portfolio::{Portfolio, PortfolioOutcome};
 pub use result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};

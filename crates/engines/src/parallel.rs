@@ -1,9 +1,7 @@
-//! # Parallel PDR and lemma exchange
+//! # Parallel PDR
 //!
 //! Multi-core scaling beyond "race and cancel": N PDR workers
-//! cooperate over one [`SharedFrames`] store (rIC3-style), and a
-//! cross-seat [`LemmaBus`] feeds PDR's inductive clauses into the
-//! k-induction and interpolation seats of the portfolio.
+//! cooperate over one [`SharedFrames`] store (rIC3-style).
 //!
 //! ## Worker diversification
 //!
@@ -47,47 +45,19 @@
 //! thus carries a local proof, the fixpoint export stays a genuine
 //! inductive invariant, and the portfolio's independent certification
 //! re-checks it against the raw template exactly as for solo PDR.
-//!
-//! ## Cross-seat lemma broadcast
-//!
-//! PDR frame clauses are *not* globally inductive — `F_i` clauses hold
-//! up to `i` steps only — so consumers cannot assert them blindly.
-//! The [`LemmaBus`] (bounded per-consumer queues, drop-oldest
-//! backpressure) carries candidate clauses from PDR's frontier to the
-//! k-induction and interpolation seats, where a `LemmaGate` runs
-//! Houdini-style incremental admission: a clause is accepted only if
-//! (a) it contains a literal implied by the reset state (syntactic
-//! initiation — PDR's init-disjoint cubes always provide one), and
-//! (b) consecution relative to the already-accepted set holds:
-//! `inv ∧ accepted ∧ C ∧ T ∧ ¬C′` is UNSAT on one template frame.
-//! Admission is monotone — each clause was verified against a subset
-//! of the final accepted set and premises only strengthen — so the
-//! final conjunction is inductive relative to the certified static
-//! invariant. Consumers assert accepted clauses on every frame
-//! (k-induction base *and* step chains, interpolation's A-frame and
-//! B-frames) and fold them into their certificates, which the
-//! portfolio re-certifies against the raw template with an independent
-//! solver: a gate bug can cost a verdict, never truth.
 
-use crate::certify::{clause_on, LatchClause};
+use crate::certify::LatchClause;
 use crate::pdr::{subsumes, Cube, Diversity, PdrRun};
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
 use aig::{AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
-use satb::{Domain, Limits, Lit, Part, SolveResult, Solver, Var};
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of lock shards in [`SharedFrames`] (cubes map by
 /// `level % SHARDS`).
 pub(crate) const SHARDS: usize = 8;
-
-/// Per-consumer queue bound of the [`LemmaBus`]; the oldest lemma is
-/// dropped when a slow consumer falls this far behind (backpressure
-/// must never block a publishing prover).
-const BUS_CAPACITY: usize = 256;
 
 /// Locks a mutex, surviving poisoning: a worker that panicked while
 /// holding a shard lock (the portfolio isolates crashes with
@@ -209,204 +179,6 @@ impl SharedFrames {
     }
 }
 
-#[derive(Debug, Default)]
-struct BusInner {
-    queues: Mutex<Vec<Arc<Mutex<VecDeque<LatchClause>>>>>,
-    dropped: AtomicU64,
-}
-
-/// Cross-seat lemma broadcast: bounded per-consumer queues with
-/// drop-oldest backpressure. Clone handles freely; subscribe once per
-/// consumer, then hand [`LemmaPublisher`]s to producers.
-#[derive(Clone, Debug, Default)]
-pub struct LemmaBus {
-    inner: Arc<BusInner>,
-}
-
-impl LemmaBus {
-    /// A bus with no subscribers yet.
-    pub fn new() -> LemmaBus {
-        LemmaBus::default()
-    }
-
-    /// Registers a consumer and returns its receiving end.
-    pub fn subscribe(&self) -> LemmaReceiver {
-        let q = Arc::new(Mutex::new(VecDeque::new()));
-        lock(&self.inner.queues).push(Arc::clone(&q));
-        LemmaReceiver { queue: q }
-    }
-
-    /// A publishing handle (producers fan out to every subscriber).
-    pub fn publisher(&self) -> LemmaPublisher {
-        LemmaPublisher {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Discards every queued lemma (a portfolio run clears leftovers
-    /// from a previous check before racing; the consumer-side gate
-    /// re-validates every clause against the current design anyway, so
-    /// this is hygiene, not soundness).
-    pub fn clear(&self) {
-        for q in lock(&self.inner.queues).iter() {
-            lock(q).clear();
-        }
-    }
-
-    /// Lemmas dropped to backpressure since construction.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// The producing end of a [`LemmaBus`].
-#[derive(Clone, Debug)]
-pub struct LemmaPublisher {
-    inner: Arc<BusInner>,
-}
-
-impl LemmaPublisher {
-    /// Broadcasts one clause to every subscriber, dropping each
-    /// subscriber's oldest entry when its queue is full.
-    pub fn publish(&self, clause: &LatchClause) {
-        for q in lock(&self.inner.queues).iter() {
-            let mut q = lock(q);
-            if q.len() >= BUS_CAPACITY {
-                q.pop_front();
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            q.push_back(clause.clone());
-        }
-    }
-}
-
-/// The consuming end of a [`LemmaBus`].
-#[derive(Clone, Debug)]
-pub struct LemmaReceiver {
-    queue: Arc<Mutex<VecDeque<LatchClause>>>,
-}
-
-impl LemmaReceiver {
-    /// Takes every queued lemma.
-    pub fn drain(&self) -> Vec<LatchClause> {
-        lock(&self.queue).drain(..).collect()
-    }
-}
-
-/// Consumer-side admission gate for broadcast lemmas (see the
-/// [module docs](self)): Houdini-style incremental checking on one
-/// template frame. Accepted clauses are inductive relative to the
-/// static invariant plus the previously accepted set, so consumers may
-/// assert the whole accepted prefix on any frame of any chain.
-pub(crate) struct LemmaGate {
-    solver: Solver,
-    latch_cur: Vec<Lit>,
-    latch_next: Vec<Lit>,
-    inits: Vec<Option<bool>>,
-    accepted: Vec<LatchClause>,
-    /// Every clause ever offered (accepted or not): duplicates are
-    /// answered `false` without a query — the consumer already asserted
-    /// an accepted clause the first time.
-    seen: HashSet<LatchClause>,
-    /// Query scoping (see [`satb::domain`]): the base vocabulary every
-    /// consecution check needs (latches, inputs, constraint cone) …
-    base_dom: Vec<Var>,
-    /// … plus, per candidate, the next-state cones of its latches.
-    next_cones: Vec<Vec<Var>>,
-    /// Reusable per-check decision domain.
-    dom: Domain,
-}
-
-impl LemmaGate {
-    /// One template frame with the certified static invariant asserted
-    /// on its current-state side (the `Blasted` contract).
-    pub(crate) fn new(sys: &AigSystem, tpl: &TransitionTemplate, inv: &[LatchClause]) -> LemmaGate {
-        let mut solver = Solver::new();
-        let vars = tpl.instantiate(&mut solver, Part::A, 0);
-        for clause in inv {
-            solver.add_clause(&clause_on(clause, &vars.latch_cur));
-        }
-        let mut dom = Domain::new();
-        vars.extend_domain_base(tpl, &mut dom);
-        let base_dom = dom.vars().to_vec();
-        let next_cones: Vec<Vec<Var>> = (0..sys.latches.len())
-            .map(|i| {
-                dom.clear();
-                vars.extend_domain(&mut dom, tpl.latch_next_cone(i));
-                dom.vars().to_vec()
-            })
-            .collect();
-        dom.clear();
-        LemmaGate {
-            solver,
-            latch_cur: vars.latch_cur,
-            latch_next: vars.latch_next,
-            inits: sys.latches.iter().map(|l| l.init).collect(),
-            accepted: Vec::new(),
-            seen: HashSet::new(),
-            base_dom,
-            next_cones,
-            dom,
-        }
-    }
-
-    /// Checks one candidate clause; on acceptance it is asserted into
-    /// the gate's premise (strengthening later checks) and `true` is
-    /// returned — the caller must then assert it on its own frames.
-    pub(crate) fn admit(&mut self, clause: &LatchClause, limits: Limits) -> bool {
-        if clause.is_empty()
-            || clause.iter().any(|&(i, _)| i >= self.latch_cur.len())
-            || !self.seen.insert(clause.clone())
-        {
-            return false;
-        }
-        // Initiation, syntactically: some literal is implied by reset.
-        if !clause.iter().any(|&(i, v)| self.inits[i] == Some(v)) {
-            return false;
-        }
-        // Consecution relative to the accepted set:
-        // inv ∧ accepted ∧ C ∧ T ∧ ¬C′ must be UNSAT.
-        let cl = clause_on(clause, &self.latch_cur);
-        let act = self.solver.new_activation();
-        self.solver.add_clause_activated(act, &cl);
-        let mut assumptions = vec![act];
-        for &(i, v) in clause {
-            assumptions.push(if v {
-                !self.latch_next[i]
-            } else {
-                self.latch_next[i]
-            });
-        }
-        // Cone-restricted consecution: decisions stay inside the
-        // candidate's cone of influence. The admission only acts on
-        // UNSAT (unconditionally sound); the Sat side rejects, which
-        // costs at most a lemma, never truth.
-        self.dom.clear();
-        self.dom.extend(self.base_dom.iter().copied());
-        self.dom.extend(assumptions.iter().map(|l| l.var()));
-        for &(i, _) in clause {
-            self.dom.extend(self.next_cones[i].iter().copied());
-        }
-        let res = self
-            .solver
-            .solve_with_domain(&assumptions, limits, &self.dom);
-        self.solver.release_activation(act);
-        if res == SolveResult::Unsat {
-            self.solver.add_clause(&cl);
-            self.accepted.push(clause.clone());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Every clause accepted so far (consumers fold these into their
-    /// certificates).
-    pub(crate) fn accepted(&self) -> &[LatchClause] {
-        &self.accepted
-    }
-}
-
 /// Parallel PDR: races N diversified workers over one [`SharedFrames`]
 /// store; the first definite verdict wins and cancels the rest, and
 /// the pooled statistics (lemmas exported/imported, sync rounds) are
@@ -417,9 +189,6 @@ pub struct ParallelPdr {
     pub budget: Budget,
     /// Worker count (clamped to at least 1).
     pub workers: usize,
-    /// Optional cross-seat broadcast; worker 0 (the tuned default
-    /// profile) publishes its frontier clauses.
-    pub bus: Option<LemmaPublisher>,
 }
 
 impl ParallelPdr {
@@ -428,15 +197,7 @@ impl ParallelPdr {
         ParallelPdr {
             budget,
             workers: workers.max(1),
-            bus: None,
         }
-    }
-
-    /// Attaches a cross-seat lemma publisher (worker 0 broadcasts).
-    #[must_use]
-    pub fn with_bus(mut self, bus: LemmaPublisher) -> ParallelPdr {
-        self.bus = Some(bus);
-        self
     }
 
     /// Runs the pool; returns the winning outcome and the shared store
@@ -459,7 +220,6 @@ impl ParallelPdr {
             for w in 0..workers {
                 let tx = tx.clone();
                 let store = Arc::clone(&store);
-                let bus = if w == 0 { self.bus.clone() } else { None };
                 let budget = Budget {
                     stop: Some(Arc::clone(&race)),
                     ..self.budget.clone()
@@ -469,9 +229,6 @@ impl ParallelPdr {
                         let mut run = PdrRun::new(sys, tpl, inv, budget);
                         run.set_diversity(Diversity::for_worker(w));
                         run.attach_shared(store, w);
-                        if let Some(bus) = bus {
-                            run.attach_bus(bus);
-                        }
                         run.solve()
                     }))
                     .unwrap_or_else(|_| {
@@ -493,7 +250,8 @@ impl ParallelPdr {
                 match rx.recv_timeout(Duration::from_millis(5)) {
                     Ok((_w, out)) => {
                         done += 1;
-                        fold_stats(&mut stats, &out.stats);
+                        stats.merge(&out.stats);
+                        stats.depth = stats.depth.max(out.stats.depth);
                         let definite = matches!(out.outcome, Verdict::Safe | Verdict::Unsafe(_));
                         if definite && winner.is_none() {
                             race.store(true, Ordering::Relaxed);
@@ -531,38 +289,12 @@ impl ParallelPdr {
                 )
             });
             let certificate = chosen.certificate.clone();
-            stats.depth = stats.depth.max(chosen.stats.depth);
             let mut out = CheckOutcome::finish(chosen.outcome, stats, started);
             out.certificate = certificate;
             out
         });
         (outcome, store)
     }
-}
-
-/// Sums worker statistics into the pool totals (depth is maximized,
-/// everything else accumulates; arena peaks sum because the workers'
-/// solvers coexist).
-fn fold_stats(total: &mut EngineStats, s: &EngineStats) {
-    total.depth = total.depth.max(s.depth);
-    total.sat_queries += s.sat_queries;
-    total.conflicts += s.conflicts;
-    total.decisions += s.decisions;
-    total.propagations += s.propagations;
-    total.domain_decisions += s.domain_decisions;
-    total.domain_skipped += s.domain_skipped;
-    total.chrono_backtracks += s.chrono_backtracks;
-    total.inproc_subsumed += s.inproc_subsumed;
-    total.reduces += s.reduces;
-    total.deleted += s.deleted;
-    total.arena_bytes += s.arena_bytes;
-    total.arena_peak_bytes += s.arena_peak_bytes;
-    total.act_recycled += s.act_recycled;
-    total.ternary_drops += s.ternary_drops;
-    total.lifted_lits += s.lifted_lits;
-    total.lemmas_exported += s.lemmas_exported;
-    total.lemmas_imported += s.lemmas_imported;
-    total.sync_rounds += s.sync_rounds;
 }
 
 impl Checker for ParallelPdr {
@@ -605,25 +337,6 @@ mod tests {
         }
     }
 
-    /// Bus mechanics: fan-out to every subscriber, drop-oldest
-    /// backpressure, and clear.
-    #[test]
-    fn bus_fans_out_and_drops_oldest() {
-        let bus = LemmaBus::new();
-        let a = bus.subscribe();
-        let b = bus.subscribe();
-        let tx = bus.publisher();
-        for i in 0..(BUS_CAPACITY + 10) {
-            tx.publish(&vec![(i, true)]);
-        }
-        let got = a.drain();
-        assert_eq!(got.len(), BUS_CAPACITY, "bounded queue");
-        assert_eq!(got[0], vec![(10, true)], "oldest entries dropped");
-        assert_eq!(bus.dropped(), 20, "10 drops on each of 2 subscribers");
-        bus.clear();
-        assert!(b.drain().is_empty(), "clear discards unread lemmas");
-    }
-
     /// Store mechanics: subsumption on insert (both directions) and
     /// cursor-based foreign collection.
     #[test]
@@ -645,52 +358,6 @@ mod tests {
         out.clear();
         store.collect_foreign(0, &mut cursors0, &mut out);
         assert!(out.is_empty(), "cursors advance past consumed entries");
-    }
-
-    /// The admission gate accepts a genuinely inductive clause,
-    /// rejects a non-inductive one and a reset-violating one, and
-    /// answers duplicates without re-checking.
-    #[test]
-    fn lemma_gate_admits_only_inductive_clauses() {
-        // Two latches from reset 0: `a` holds its value (a = 0 is
-        // inductive), `b` toggles every cycle (b = 0 is not).
-        let mut ts = TransitionSystem::new("gate");
-        let a = ts.add_state("a", rtlir::Sort::BOOL);
-        let b = ts.add_state("b", rtlir::Sort::BOOL);
-        let (av, bv) = {
-            let p = ts.pool_mut();
-            (p.var(a), p.var(b))
-        };
-        let nb = ts.pool_mut().not(bv);
-        let zero = ts.pool_mut().constv(1, 0);
-        ts.set_init(a, zero);
-        ts.set_init(b, zero);
-        ts.set_next(a, av);
-        ts.set_next(b, nb);
-        ts.add_bad(av, "a set");
-        let sys = aig::blast_system(&ts);
-        let tpl = TransitionTemplate::compile(&sys);
-        let mut gate = LemmaGate::new(&sys, &tpl, &[]);
-        let a_zero: LatchClause = vec![(0, false)];
-        let b_zero: LatchClause = vec![(1, false)];
-        let a_one: LatchClause = vec![(0, true)];
-        assert!(gate.admit(&a_zero, Limits::default()), "a=0 is inductive");
-        assert!(
-            !gate.admit(&b_zero, Limits::default()),
-            "b toggles: consecution fails"
-        );
-        assert!(
-            !gate.admit(&a_one, Limits::default()),
-            "a=1 violates the reset state"
-        );
-        assert!(
-            !gate.admit(&a_zero, Limits::default()),
-            "duplicates are answered without re-asserting"
-        );
-        assert_eq!(gate.accepted(), &[a_zero]);
-        // Out-of-range latch indices (stale lemmas from another
-        // design) are rejected, never indexed.
-        assert!(!gate.admit(&vec![(99, true)], Limits::default()));
     }
 
     /// Verdict agreement: parallel PDR with 1, 2 and 4 workers agrees

@@ -62,7 +62,7 @@
 //! ternary guarantee makes valid for every state in each cube.
 
 use crate::certify::{clause_on, LatchClause};
-use crate::parallel::{LemmaPublisher, SharedFrames, SHARDS};
+use crate::parallel::{SharedFrames, SHARDS};
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
 use aig::sim::{Tern, TernarySim};
 use aig::{AigLit, AigSystem, TransitionTemplate};
@@ -75,11 +75,6 @@ use std::time::Instant;
 /// A cube: a partial assignment to latches, as (latch index, value)
 /// pairs sorted by index.
 pub(crate) type Cube = Vec<(usize, bool)>;
-
-/// Chronological-backtracking threshold (conflicts whose asserting
-/// level is more than this far below the conflict level step back one
-/// level instead of long-jumping; see [`satb::Solver::set_chrono`]).
-const CHRONO_THRESHOLD: u32 = 100;
 
 /// Maximum counterexamples-to-generalization blocked per literal-drop
 /// attempt in [`PdrRun::shrink`] (rIC3 ctg-down, depth 1).
@@ -169,24 +164,16 @@ impl PartialOrd for QueueEntry {
 pub struct Pdr {
     /// Resource limits (`max_depth` bounds the number of frames).
     pub budget: Budget,
-    /// Optional cross-seat lemma broadcast: frontier blocking clauses
-    /// are published for k-induction / interpolation consumers (see
-    /// [`crate::parallel`]).
-    pub bus: Option<LemmaPublisher>,
     /// Cone-restricted query decision domains (on by default; the
     /// `qperf` benchmark A/Bs this switch).
     pub domains: bool,
-    /// Chronological backtracking in the query solver (on by default).
-    pub chrono: bool,
 }
 
 impl Default for Pdr {
     fn default() -> Pdr {
         Pdr {
             budget: Budget::default(),
-            bus: None,
             domains: true,
-            chrono: true,
         }
     }
 }
@@ -198,13 +185,6 @@ impl Pdr {
             budget,
             ..Pdr::default()
         }
-    }
-
-    /// Attaches a cross-seat lemma publisher.
-    #[must_use]
-    pub fn with_bus(mut self, bus: LemmaPublisher) -> Pdr {
-        self.bus = Some(bus);
-        self
     }
 }
 
@@ -226,8 +206,6 @@ pub(crate) struct Diversity {
     pub(crate) activity: bool,
     /// Cone-restricted decision domains on every SAT query.
     pub(crate) domain: bool,
-    /// Chronological backtracking in the query solver.
-    pub(crate) chrono: bool,
     /// Blocking counterexamples-to-generalization during shrink.
     pub(crate) ctg: bool,
 }
@@ -240,7 +218,6 @@ impl Default for Diversity {
             lift: true,
             activity: true,
             domain: true,
-            chrono: true,
             ctg: true,
         }
     }
@@ -249,8 +226,8 @@ impl Default for Diversity {
 impl Diversity {
     /// The profile of worker `w`: worker 0 is the tuned default (so a
     /// one-worker pool behaves exactly like solo PDR); each sibling
-    /// disables one generalization dimension plus one solver-side
-    /// heuristic, and seeds keep differing past four workers.
+    /// disables one generalization dimension (workers 2 and 3 one more
+    /// heuristic besides), and seeds keep differing past four workers.
     pub(crate) fn for_worker(w: usize) -> Diversity {
         let base = Diversity {
             seed: w as u64,
@@ -259,7 +236,6 @@ impl Diversity {
         match w % 4 {
             1 => Diversity {
                 lift: false,
-                chrono: false,
                 ..base
             },
             2 => Diversity {
@@ -343,11 +319,8 @@ pub(crate) struct PdrRun<'s> {
     act_inc: f64,
     /// Shared frame store of a parallel run (`None` when solo).
     shared: Option<SharedCtx>,
-    /// Cross-seat lemma broadcast (`None` when not wired).
-    bus: Option<LemmaPublisher>,
-    /// The current frontier frame. Clauses stored here survived every
-    /// propagation so far — the best broadcast candidates (consumers
-    /// re-verify inductiveness on their side regardless).
+    /// The current frontier frame; cubes imported from the shared
+    /// store are clamped to it.
     max_level: usize,
 }
 
@@ -384,7 +357,6 @@ impl<'s> PdrRun<'s> {
         for clause in inv {
             solver.add_clause(&clause_on(clause, &vars.latch_cur));
         }
-        solver.set_chrono(Some(CHRONO_THRESHOLD));
         // Precompute the query-scoping sets once per run: the base
         // vocabulary and the per-latch next-state cones, mapped from
         // template to solver variables through the instantiated frame.
@@ -430,7 +402,6 @@ impl<'s> PdrRun<'s> {
             activity: vec![0.0; sys.latches.len()],
             act_inc: 1.0,
             shared: None,
-            bus: None,
             max_level: 1,
         };
         run.ensure_act(0);
@@ -450,8 +421,6 @@ impl<'s> PdrRun<'s> {
     /// Sets the generalization profile (parallel workers diversify).
     pub(crate) fn set_diversity(&mut self, div: Diversity) {
         self.div = div;
-        self.solver
-            .set_chrono(div.chrono.then_some(CHRONO_THRESHOLD));
     }
 
     /// Joins a shared frame store as worker `worker`.
@@ -461,11 +430,6 @@ impl<'s> PdrRun<'s> {
             worker,
             cursors: [0; SHARDS],
         });
-    }
-
-    /// Wires the cross-seat lemma broadcast.
-    pub(crate) fn attach_bus(&mut self, bus: LemmaPublisher) {
-        self.bus = Some(bus);
     }
 
     /// Creates frame activation groups up to `level`. Frames are
@@ -573,8 +537,8 @@ impl<'s> PdrRun<'s> {
     /// are sorted over distinct latches by construction), plus registry
     /// upkeep — any stored cube subsumed by the new one (at a level the
     /// new clause covers) is pruned so the syntactic blocked-check
-    /// stays small. Publishes the cube to the shared store / lemma bus
-    /// when the run is wired into a parallel pool or portfolio.
+    /// stays small. Publishes the cube to the shared store when the run
+    /// is a worker of a parallel pool.
     fn add_blocked(&mut self, cube: Cube, level: usize) {
         while self.frames.len() <= level {
             self.frames.push(Vec::new());
@@ -601,27 +565,15 @@ impl<'s> PdrRun<'s> {
         self.frames[level].push(cube);
     }
 
-    /// Shares a freshly blocked cube: into the shared frame store (any
-    /// level; the store subsumption-checks on insert) and, for frontier
-    /// clauses, onto the cross-seat lemma bus. Re-published imports are
-    /// deduplicated by the store's subsumption check, so the counter
-    /// only grows for genuinely new knowledge.
+    /// Shares a freshly blocked cube with the shared frame store (any
+    /// level; the store subsumption-checks on insert). Re-published
+    /// imports are deduplicated by that check, so the counter only
+    /// grows for genuinely new knowledge.
     fn publish(&mut self, cube: &Cube, level: usize) {
-        let mut exported = false;
         if let Some(ctx) = &self.shared {
             if ctx.store.publish(level, cube.clone(), ctx.worker) {
-                exported = true;
+                self.stats.lemmas_exported += 1;
             }
-        }
-        if level >= self.max_level {
-            if let Some(bus) = &self.bus {
-                let clause: LatchClause = cube.iter().map(|&(i, v)| (i, !v)).collect();
-                bus.publish(&clause);
-                exported = true;
-            }
-        }
-        if exported {
-            self.stats.lemmas_exported += 1;
         }
     }
 
@@ -1426,12 +1378,8 @@ impl Pdr {
         let mut run = PdrRun::new(sys, tpl, inv, self.budget.clone());
         run.set_diversity(Diversity {
             domain: self.domains,
-            chrono: self.chrono,
             ..Diversity::default()
         });
-        if let Some(bus) = &self.bus {
-            run.attach_bus(bus.clone());
-        }
         run.solve()
     }
 }

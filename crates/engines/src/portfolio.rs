@@ -56,7 +56,6 @@ use crate::bmc::Bmc;
 use crate::certify::{self, Certificate, CertifyReport};
 use crate::itp::Interpolation;
 use crate::kind::KInduction;
-use crate::parallel::{LemmaBus, ParallelPdr};
 use crate::pdr::Pdr;
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
 use rtlir::TransitionSystem;
@@ -89,9 +88,9 @@ pub struct PortfolioOutcome {
     /// The winning definite verdict, or the merged `Unknown` when no
     /// member answered.
     pub verdict: Verdict,
-    /// Aggregated statistics: the winner's depth, and queries /
-    /// conflicts / reduction counters / arena bytes summed over every
-    /// member.
+    /// Aggregated statistics: the winner's depth (the deepest member's
+    /// when nobody won), and every counter summed over every member
+    /// ([`EngineStats::merge`]).
     pub stats: EngineStats,
     /// Name of the member that answered first, if any.
     pub winner: Option<&'static str>,
@@ -227,13 +226,6 @@ pub struct Portfolio {
     /// the run and forwarded to the members.
     external: Option<Arc<AtomicBool>>,
     engines: Vec<(&'static str, Box<dyn Checker + Send + Sync>)>,
-    /// The cross-seat lemma broadcast wired by
-    /// [`with_default_engines`](Portfolio::with_default_engines):
-    /// PDR publishes frontier clauses, k-induction and interpolation
-    /// consume them through admission gates. Cleared at the start of
-    /// every run so a reused portfolio never replays stale lemmas
-    /// (the gates re-validate per design regardless).
-    bus: Option<LemmaBus>,
     /// Witness re-checks run in paranoid mode: every certification
     /// obligation solver logs a resolution proof that is replayed by
     /// the independent checker in [`satb::proofcheck`] before the
@@ -258,7 +250,6 @@ impl Portfolio {
             external,
             budget,
             engines: Vec::new(),
-            bus: None,
             paranoid: false,
         }
     }
@@ -279,34 +270,16 @@ impl Portfolio {
     }
 
     /// The paper's hybrid line-up: BMC, k-induction, interpolation and
-    /// PDR, all under `budget` and the shared cancellation flag — plus
-    /// the lemma broadcast: PDR's frontier clauses feed the
-    /// k-induction step premise and interpolation's frames through
-    /// per-consumer admission gates (see [`crate::parallel`]).
+    /// PDR, all under `budget` and the shared cancellation flag. The
+    /// seats share nothing but the blast and the flag: the first
+    /// certified verdict wins.
     pub fn with_default_engines(budget: Budget) -> Portfolio {
         let mut p = Portfolio::new(budget);
-        let bus = LemmaBus::new();
         let b = p.engine_budget();
         p.push(Bmc::new(b.clone()));
-        p.push(KInduction::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Interpolation::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Pdr::new(b).with_bus(bus.publisher()));
-        p.bus = Some(bus);
-        p
-    }
-
-    /// The hybrid line-up with the PDR seat replaced by a
-    /// [`ParallelPdr`] pool of `workers` diversified workers (worker 0
-    /// publishes to the lemma broadcast).
-    pub fn with_parallel_engines(budget: Budget, workers: usize) -> Portfolio {
-        let mut p = Portfolio::new(budget);
-        let bus = LemmaBus::new();
-        let b = p.engine_budget();
-        p.push(Bmc::new(b.clone()));
-        p.push(KInduction::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Interpolation::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(ParallelPdr::new(b, workers).with_bus(bus.publisher()));
-        p.bus = Some(bus);
+        p.push(KInduction::new(b.clone()));
+        p.push(Interpolation::new(b.clone()));
+        p.push(Pdr::new(b));
         p
     }
 
@@ -349,9 +322,6 @@ impl Portfolio {
     ) -> PortfolioOutcome {
         let started = Instant::now();
         self.stop.store(false, Ordering::Relaxed);
-        if let Some(bus) = &self.bus {
-            bus.clear();
-        }
         if self.engines.is_empty() {
             return PortfolioOutcome {
                 verdict: Verdict::Unknown(Unknown::Inconclusive("empty portfolio".into())),
@@ -486,20 +456,7 @@ impl Portfolio {
         let mut engines = Vec::with_capacity(self.engines.len());
         for (((name, _), out), cert) in self.engines.iter().zip(outcomes).zip(certifications) {
             let out = out.expect("every portfolio worker reports");
-            stats.sat_queries += out.stats.sat_queries;
-            stats.conflicts += out.stats.conflicts;
-            stats.reduces += out.stats.reduces;
-            stats.deleted += out.stats.deleted;
-            stats.arena_bytes += out.stats.arena_bytes;
-            stats.arena_peak_bytes += out.stats.arena_peak_bytes;
-            stats.act_recycled += out.stats.act_recycled;
-            stats.proof_bytes += out.stats.proof_bytes;
-            stats.proof_chains += out.stats.proof_chains;
-            stats.ternary_drops += out.stats.ternary_drops;
-            stats.lifted_lits += out.stats.lifted_lits;
-            stats.lemmas_exported += out.stats.lemmas_exported;
-            stats.lemmas_imported += out.stats.lemmas_imported;
-            stats.sync_rounds += out.stats.sync_rounds;
+            stats.merge(&out.stats);
             engines.push(EngineReport {
                 name,
                 outcome: out,
@@ -648,7 +605,6 @@ mod tests {
                 ..b.clone()
             },
             simple_path: false,
-            ..KInduction::default()
         });
         p.push(Interpolation::new(b.clone()));
         p.push(Pdr::new(b));
@@ -679,7 +635,6 @@ mod tests {
         p.push(KInduction {
             budget: Budget { max_depth: 30, ..b },
             simple_path: false,
-            ..KInduction::default()
         });
         let report = p.check_detailed_blasted(&ts, &blasted);
         assert_eq!(report.verdict, Verdict::Safe);
@@ -928,6 +883,58 @@ mod tests {
         let safe = crate::kind::tests::trap_ts();
         let p = Portfolio::with_default_engines(Budget::default());
         assert_eq!(p.check(&safe).outcome, Verdict::Safe);
+    }
+
+    /// A seat that gives up at once, reporting fixed counters.
+    struct Counted(u64);
+
+    impl Checker for Counted {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn check(&self, _ts: &TransitionSystem) -> CheckOutcome {
+            let n = self.0;
+            let stats = EngineStats {
+                sat_queries: n,
+                conflicts: n,
+                decisions: n,
+                propagations: n,
+                domain_decisions: n,
+                domain_skipped: n,
+                inproc_subsumed: n,
+                proof_bytes: n,
+                proof_chains: n,
+                ..EngineStats::default()
+            };
+            CheckOutcome::finish(
+                Verdict::Unknown(Unknown::Inconclusive("counted".into())),
+                stats,
+                Instant::now(),
+            )
+        }
+    }
+
+    /// Every counter of the portfolio totals is the sum of the
+    /// members' counters.
+    #[test]
+    fn portfolio_stats_sum_member_stats() {
+        let ts = crate::bmc::tests::counter_ts(2, 8);
+        let mut p = Portfolio::new(unlimited(4000));
+        p.push(Counted(3));
+        p.push(Counted(40));
+        let report = p.check_detailed(&ts);
+        let sum = |f: fn(&EngineStats) -> u64| -> u64 {
+            report.engines.iter().map(|e| f(&e.outcome.stats)).sum()
+        };
+        assert_eq!(sum(|s| s.decisions), 43);
+        assert_eq!(report.stats.decisions, sum(|s| s.decisions));
+        assert_eq!(report.stats.propagations, sum(|s| s.propagations));
+        assert_eq!(report.stats.domain_decisions, sum(|s| s.domain_decisions));
+        assert_eq!(report.stats.domain_skipped, sum(|s| s.domain_skipped));
+        assert_eq!(report.stats.inproc_subsumed, sum(|s| s.inproc_subsumed));
+        assert_eq!(report.stats.sat_queries, sum(|s| s.sat_queries));
+        assert_eq!(report.stats.conflicts, sum(|s| s.conflicts));
+        assert_eq!(report.stats.proof_chains, sum(|s| s.proof_chains));
     }
 
     #[test]

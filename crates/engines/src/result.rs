@@ -170,9 +170,6 @@ pub struct EngineStats {
     /// Heap pops skipped because the variable was outside the query
     /// domain (a direct measure of the branching work scoping avoids).
     pub domain_skipped: u64,
-    /// Conflicts resolved by a one-level chronological backtrack
-    /// instead of the full jump ([`satb::Solver::set_chrono`]).
-    pub chrono_backtracks: u64,
     /// Original clauses removed by inprocessing backward subsumption.
     pub inproc_subsumed: u64,
     /// Learned-clause reduction passes across all SAT solvers used.
@@ -202,15 +199,14 @@ pub struct EngineStats {
     /// Cube literals dropped by input-based predecessor lifting (the
     /// UNSAT-core pass stacked on top of ternary widening).
     pub lifted_lits: u64,
-    /// Lemmas this engine published to peers: blocked cubes accepted by
-    /// the parallel-PDR shared frame store, plus frontier clauses put
-    /// on the cross-seat [`crate::parallel::LemmaBus`].
+    /// Blocked cubes this PDR worker published to the parallel pool's
+    /// [`SharedFrames`](crate::SharedFrames) store.
     pub lemmas_exported: u64,
-    /// Foreign lemmas this engine adopted: peer cubes a PDR worker
-    /// re-verified and stored, or bus clauses a consumer's admission
-    /// gate proved inductive and asserted.
+    /// Peer cubes from the [`SharedFrames`](crate::SharedFrames) store
+    /// that this PDR worker re-verified and stored.
     pub lemmas_imported: u64,
-    /// Synchronization rounds against the shared store / lemma bus.
+    /// Synchronization rounds against the
+    /// [`SharedFrames`](crate::SharedFrames) store.
     pub sync_rounds: u64,
     /// Counters of the shared template's CNF preprocessing run (stamped
     /// from [`Blasted`] by `check_blasted`; all zero when the engine
@@ -227,6 +223,32 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Adds every counter of `other` into `self`. Arena bytes sum too,
+    /// because the merged runs' solvers coexist. `depth`, `time` and the
+    /// fields stamped from a [`Blasted`] (`preproc`, `invariant_*`)
+    /// describe a whole run, not a sum, and are left to the caller.
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.sat_queries += other.sat_queries;
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.domain_decisions += other.domain_decisions;
+        self.domain_skipped += other.domain_skipped;
+        self.inproc_subsumed += other.inproc_subsumed;
+        self.reduces += other.reduces;
+        self.deleted += other.deleted;
+        self.arena_bytes += other.arena_bytes;
+        self.arena_peak_bytes += other.arena_peak_bytes;
+        self.act_recycled += other.act_recycled;
+        self.proof_bytes += other.proof_bytes;
+        self.proof_chains += other.proof_chains;
+        self.ternary_drops += other.ternary_drops;
+        self.lifted_lits += other.lifted_lits;
+        self.lemmas_exported += other.lemmas_exported;
+        self.lemmas_imported += other.lemmas_imported;
+        self.sync_rounds += other.sync_rounds;
+    }
+
     /// Folds one solver's cumulative statistics into the engine totals.
     /// Call once per solver (when it is retired, or via
     /// [`set_solver_stats`](EngineStats::set_solver_stats) for solvers
@@ -237,7 +259,6 @@ impl EngineStats {
         self.propagations += s.propagations;
         self.domain_decisions += s.domain_decisions;
         self.domain_skipped += s.domain_skipped;
-        self.chrono_backtracks += s.chrono_backtracks;
         self.inproc_subsumed += s.inproc_subsumed;
         self.reduces += s.reduces;
         self.deleted += s.deleted;
@@ -258,7 +279,6 @@ impl EngineStats {
         self.propagations = 0;
         self.domain_decisions = 0;
         self.domain_skipped = 0;
-        self.chrono_backtracks = 0;
         self.inproc_subsumed = 0;
         self.reduces = 0;
         self.deleted = 0;

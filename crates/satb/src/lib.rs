@@ -45,24 +45,16 @@
 //! # Query scoping
 //!
 //! Model-checking engines issue dense sequences of queries that each
-//! touch a small cone of one large incremental formula. Two features
-//! target exactly that shape:
-//!
-//! * **Local domains** ([`Domain`],
-//!   [`Solver::solve_with_domain`]): the caller restricts *decisions*
-//!   to the query's cone of influence, so VSIDS never branches on a
-//!   variable the query cannot observe. The solve answers `Sat` once
-//!   every in-domain variable is assigned; out-of-domain variables
-//!   stay unassigned ([`Solver::value`] returns `None` for them), and
-//!   the [`domain`] module docs state the structural conditions under
-//!   which such a partial model is extendable. `Unsat` answers (and
-//!   failed-assumption cores) are unconditionally sound.
-//! * **Chronological backtracking** ([`Solver::set_chrono`]): when a
-//!   conflict's asserting level is far below the conflict level, the
-//!   solver steps back a single level instead of long-jumping,
-//!   keeping the in-domain assignment prefix alive across the dense
-//!   per-query conflicts. [`Stats::chrono_backtracks`] counts the
-//!   short backtracks for A/B comparison.
+//! touch a small cone of one large incremental formula. **Local
+//! domains** ([`Domain`], [`Solver::solve_with_domain`]) target exactly
+//! that shape: the caller restricts *decisions* to the query's cone of
+//! influence, so VSIDS never branches on a variable the query cannot
+//! observe. The solve answers `Sat` once every in-domain variable is
+//! assigned; out-of-domain variables stay unassigned ([`Solver::value`]
+//! returns `None` for them), and the [`domain`] module docs state the
+//! structural conditions under which such a partial model is
+//! extendable. `Unsat` answers (and failed-assumption cores) are
+//! unconditionally sound.
 //!
 //! # Example
 //!

@@ -163,10 +163,6 @@ pub struct Stats {
     /// Faults injected by [`Limits::chaos`] (each one surfaced as an
     /// [`Interrupt::Cancelled`] answer).
     pub chaos_injected: u64,
-    /// Conflicts resolved by a one-level chronological backtrack
-    /// instead of the full non-chronological jump (see
-    /// [`Solver::set_chrono`]).
-    pub chrono_backtracks: u64,
     /// Decisions made on in-domain variables during
     /// [`Solver::solve_with_domain`] calls.
     pub domain_decisions: u64,
@@ -417,9 +413,6 @@ pub struct Solver {
     /// [`Chaos`] threshold so injected faults vary across calls but
     /// replay deterministically.
     chaos_epoch: u64,
-    /// Chronological-backtracking threshold (see
-    /// [`set_chrono`](Solver::set_chrono)); `None` disables it.
-    chrono: Option<u32>,
     /// Out-of-domain variables popped off the decision heap during a
     /// domain-restricted solve; restored to the heap when the call
     /// returns. Parking them (instead of re-inserting immediately)
@@ -497,7 +490,6 @@ impl Solver {
             elim_mask: Vec::new(),
             recon_scratch: Vec::new(),
             chaos_epoch: 0,
-            chrono: None,
             dom_stash: Vec::new(),
             next_inproc: Self::INPROC_INTERVAL,
             proof_limit: None,
@@ -576,24 +568,6 @@ impl Solver {
 
     /// Additional learned clauses between inprocessing passes.
     const INPROC_INTERVAL: u64 = 500;
-
-    /// Sets the chronological-backtracking threshold: on a conflict
-    /// whose asserting level is more than `threshold` levels below the
-    /// conflict level, backtrack a single level instead of jumping all
-    /// the way down — the intervening assignments are usually still
-    /// consistent, and dense incremental query sequences (IC3/PDR)
-    /// re-derive them constantly otherwise. `None` (the default)
-    /// restores classic non-chronological backjumping. Unit learned
-    /// clauses always jump to level 0 regardless (they must be
-    /// asserted at the root). Counted in [`Stats::chrono_backtracks`].
-    pub fn set_chrono(&mut self, threshold: Option<u32>) {
-        self.chrono = threshold;
-    }
-
-    /// The current chronological-backtracking threshold.
-    pub fn chrono(&self) -> Option<u32> {
-        self.chrono
-    }
 
     /// Creates `n` fresh variables and returns the first one. The
     /// block is contiguous, so callers that pre-compile a clause image
@@ -2092,22 +2066,7 @@ impl Solver {
                     .proof
                     .as_ref()
                     .map_or(ClauseId(0), |p| ClauseId((p.len() - 1) as u32));
-                // Chronological backtracking: when the asserting level
-                // is far below the conflict level, the intervening
-                // levels are usually still consistent with the learnt
-                // clause — step back one level and keep them instead
-                // of re-deriving the whole prefix. Unit learnt clauses
-                // are exempt: they carry no second watch and must be
-                // asserted at level 0, or the constraint would be
-                // silently lost on the next backtrack.
-                let jump = match self.chrono {
-                    Some(t) if learnt.len() > 1 && self.decision_level() - bt > t => {
-                        self.stats.chrono_backtracks += 1;
-                        self.decision_level() - 1
-                    }
-                    _ => bt,
-                };
-                self.backtrack(jump);
+                self.backtrack(bt);
                 let asserting = learnt[0];
                 let cref = self.learn(learnt, pid);
                 debug_assert_eq!(self.lit_value(asserting), LBool::Undef);
@@ -3164,70 +3123,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn chrono_backtracking_agrees_with_nonchrono() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC4040);
-        let mut fired = 0u64;
-        for round in 0..200 {
-            let nvars = rng.gen_range(6..=12usize);
-            let nclauses = rng.gen_range(15..=50usize);
-            let mut a = if round % 2 == 0 {
-                Solver::new()
-            } else {
-                Solver::with_proof()
-            };
-            // Threshold 0: every non-unit conflict backtracks one level.
-            a.set_chrono(Some(0));
-            let mut b = Solver::new();
-            for _ in 0..nvars {
-                a.new_var();
-                b.new_var();
-            }
-            let mut cnf: Vec<Vec<Lit>> = Vec::new();
-            for _ in 0..nclauses {
-                let len = rng.gen_range(2..=4usize);
-                let cl: Vec<Lit> = (0..len)
-                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
-                    .collect();
-                a.add_clause(&cl);
-                b.add_clause(&cl);
-                cnf.push(cl);
-            }
-            for _ in 0..3 {
-                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
-                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
-                    .collect();
-                let ra = a.solve_with(&assumptions);
-                assert_eq!(ra, b.solve_with(&assumptions), "round {round}");
-                if ra == SolveResult::Sat {
-                    for cl in &cnf {
-                        assert!(
-                            cl.iter().any(|&l| a.value(l) == Some(true)),
-                            "chrono model violates clause {cl:?}"
-                        );
-                    }
-                }
-            }
-            if a.proof_logging() {
-                a.debug_verify_proof().expect("valid proof under chrono");
-            }
-            fired += a.stats().chrono_backtracks;
-        }
-        assert!(fired > 0, "chronological backtracking never exercised");
-
-        // A hard refutation with a moderate threshold: same verdict,
-        // and the short backtracks actually happen.
-        let mut s = Solver::with_proof();
-        s.set_chrono(Some(2));
-        pigeonhole(&mut s, 7);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert!(s.stats().chrono_backtracks > 0);
-        s.debug_verify_proof()
-            .expect("pigeonhole proof under chrono");
-    }
-
-    #[test]
     fn chaos_mid_domain_solve_leaves_solver_clean() {
         // Phase A: pigeonhole PHP(9,8) (UNSAT, needs far more than
         // `period` conflicts) under a domain covering the pigeonhole
@@ -3237,7 +3132,6 @@ pub(crate) mod tests {
         let chaos = Chaos { seed: 7, period: 4 };
         let mut s = Solver::new();
         pigeonhole(&mut s, 8);
-        s.set_chrono(Some(4));
         let mut dom = Domain::new();
         dom.extend((0..s.num_vars()).map(Var::from_index));
         for _ in 0..16 {
